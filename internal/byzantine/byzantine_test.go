@@ -1,9 +1,15 @@
 package byzantine
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/trustddl/trustddl/internal/fixed"
+	"github.com/trustddl/trustddl/internal/party"
+	"github.com/trustddl/trustddl/internal/protocol"
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/tensor"
 	"github.com/trustddl/trustddl/internal/transport"
@@ -211,5 +217,129 @@ func TestStallWriter(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("message never flushed after release")
+	}
+}
+
+// TestConvictedPeerTrafficDoesNotAccumulate runs secure multiplications
+// with P3 violating its commitments on every pass. Once convicted, P3 is
+// no longer gathered from, but it keeps sending commitments and
+// openings; the honest routers must drop them instead of buffering them
+// forever. After ForgiveFlags its traffic is buffered again.
+func TestConvictedPeerTrafficDoesNotAccumulate(t *testing.T) {
+	const passes = 20
+	net := transport.NewChanNetwork()
+	t.Cleanup(func() { _ = net.Close() })
+	params := fixed.Default()
+	dealer := sharing.NewDealer(sharing.NewSeededSource(5), params)
+	var ctxs [sharing.NumParties]*protocol.Ctx
+	for i := range ctxs {
+		ep, err := net.Endpoint(i + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctxs[i], err = protocol.NewCtx(party.NewRouter(ep, time.Second), i+1, params, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctxs[2].Adversary = CommitViolator{Delta: 1 << 20}
+
+	x, _ := tensor.FromSlice(2, 3, []float64{1, -2, 3, -4, 5, -6})
+	y, _ := tensor.FromSlice(2, 3, []float64{0.5, 2, -1, 3, -0.25, 1})
+	want, _ := x.Hadamard(y)
+	pass := func(session string) [sharing.NumParties]sharing.Bundle {
+		t.Helper()
+		bx, err := dealer.ShareFloats(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		by, err := dealer.ShareFloats(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		triples, err := dealer.HadamardTriple(2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg   sync.WaitGroup
+			out  [sharing.NumParties]sharing.Bundle
+			errs [sharing.NumParties]error
+		)
+		for i, ctx := range ctxs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i], errs[i] = protocol.SecMulBT(ctx, session, bx[i], by[i], triples[i])
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs[:2] {
+			if err != nil {
+				t.Fatalf("%s: honest P%d: %v", session, i+1, err)
+			}
+		}
+		return out
+	}
+	// reveal opens a product and checks it against the plaintext one.
+	reveal := func(out [sharing.NumParties]sharing.Bundle, flagged bool) error {
+		t.Helper()
+		sets, err := sharing.CollectSets(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := sharing.ReconstructSix(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagged {
+			rec.FlagParty(3)
+		}
+		v, _, err := rec.DecideRows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Data {
+			if got := params.ToFloat(v.Data[i]); math.Abs(got-w) > 1e-3 {
+				return fmt.Errorf("element %d = %v, want %v", i, got, w)
+			}
+		}
+		return nil
+	}
+	for i := 0; i < passes; i++ {
+		out := pass(fmt.Sprintf("pass/%d", i))
+		if err := reveal(out, true); err != nil {
+			t.Fatalf("pass %d: %v", i, err)
+		}
+		for _, ctx := range ctxs[:2] {
+			if !ctx.Flagged[3] {
+				t.Fatalf("pass %d: P%d did not convict P3", i, ctx.Index)
+			}
+			// P3 sends two frames (commit, open) per pass to each honest
+			// party; buffering them would grow this by two every pass.
+			if n := ctx.Router.Pending(); n > 2 {
+				t.Fatalf("pass %d: P%d buffers %d messages from a convicted peer", i, ctx.Index, n)
+			}
+		}
+	}
+
+	// Re-admission: forgiven and honest again, P3 takes part in full.
+	ctxs[2].Adversary = nil
+	for _, ctx := range ctxs {
+		ctx.ForgiveFlags()
+	}
+	if err := ctxs[2].Router.Send(1, "after", "unsolicited", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	out := pass("after")
+	if err := reveal(out, false); err != nil {
+		t.Fatalf("after ForgiveFlags: %v", err)
+	}
+	for _, ctx := range ctxs[:2] {
+		if ctx.FlagCount() != 0 {
+			t.Fatalf("P%d convicted %d parties after re-admission", ctx.Index, ctx.FlagCount())
+		}
+	}
+	if msg, err := ctxs[0].Router.Expect(3, "after", "unsolicited"); err != nil || len(msg.Payload) != 1 {
+		t.Fatalf("re-admitted P3's unsolicited message was dropped: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
+	"unsafe"
 
 	"github.com/trustddl/trustddl/internal/tensor"
 )
@@ -31,10 +32,21 @@ func (d Digest) Equal(o Digest) bool {
 	return subtle.ConstantTimeCompare(d[:], o[:]) == 1
 }
 
+// hostLittleEndian is fixed at process start: only on little-endian
+// hardware is a []int64's memory image its little-endian word encoding.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
 // Matrices commits to a sequence of ring matrices. The encoding is
 // canonical and injective: each matrix contributes its dimensions and
 // its row-major elements as fixed-width little-endian words, so two
 // distinct share vectors cannot collide except by breaking SHA-256.
+//
+// On little-endian hosts each matrix body is hashed as one Write of its
+// in-memory byte image, which is exactly that word sequence; the
+// per-word loop remains only for big-endian hosts.
 func Matrices(ms ...tensor.Matrix[int64]) Digest {
 	h := sha256.New()
 	var buf [8]byte
@@ -46,6 +58,12 @@ func Matrices(ms ...tensor.Matrix[int64]) Digest {
 	for _, m := range ms {
 		writeWord(uint64(m.Rows))
 		writeWord(uint64(m.Cols))
+		if hostLittleEndian {
+			if len(m.Data) > 0 {
+				h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&m.Data[0])), 8*len(m.Data)))
+			}
+			continue
+		}
 		for _, v := range m.Data {
 			writeWord(uint64(v))
 		}

@@ -196,6 +196,12 @@ func recvNetwork(ctx *protocol.Ctx, first transport.Message) (nn.Arch, *nn.Secur
 	if err != nil {
 		return nil, nil, err
 	}
+	// A (re-)provisioning starts a fresh membership epoch: drop local
+	// timeout convictions so a re-admitted crashed peer participates
+	// again. The session ledger keeps the history. Forgiving before the
+	// weight shares arrive also re-admits the peer at the router before
+	// it can start the next pass, so none of its traffic is dropped.
+	ctx.ForgiveFlags()
 	bundles := make([]sharing.Bundle, arch.NumWeightMatrices())
 	for wi := range bundles {
 		b, err := protocol.RecvBundle(ctx, transport.ModelOwner, first.Session, fmt.Sprintf("w/%d", wi))
@@ -208,10 +214,6 @@ func recvNetwork(ctx *protocol.Ctx, first transport.Message) (nn.Arch, *nn.Secur
 	if err != nil {
 		return nil, nil, err
 	}
-	// A (re-)provisioning starts a fresh membership epoch: drop local
-	// timeout convictions so a re-admitted crashed peer participates
-	// again. The session ledger keeps the history.
-	ctx.ForgiveFlags()
 	mu, withState := decodeInitOpts(first.Session)
 	if withState {
 		vels := make([]sharing.Bundle, arch.NumWeightMatrices())

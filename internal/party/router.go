@@ -104,6 +104,9 @@ type Router struct {
 	timeout time.Duration
 	pending []transport.Message // buffered arrivals, oldest first
 	spoofs  []*SpoofError
+	// excluded marks actors whose unsolicited traffic is dropped on
+	// arrival (Exclude); indexed by actor ID.
+	excluded [transport.NumActors + 1]bool
 
 	// deadline, when nonzero (unix nanos), caps every receive wait: a
 	// wait that would outlive it is shortened, and once it has passed
@@ -201,6 +204,46 @@ func (r *Router) Spoofs() []*SpoofError {
 	return out
 }
 
+// Exclude stops buffering traffic from actor from: its pending
+// messages are released and dropped now, and Expect releases and drops
+// its later arrivals instead of buffering them, unless they are the
+// message being waited for. A party excludes a peer it has convicted:
+// the protocol no longer gathers from it, so whatever the peer keeps
+// sending would otherwise sit in the pending buffer for good. Spoof
+// evidence carried by a dropped message is recorded before the drop.
+func (r *Router) Exclude(from int) {
+	if from < 0 || from >= len(r.excluded) {
+		return
+	}
+	r.excluded[from] = true
+	kept := r.pending[:0]
+	for _, msg := range r.pending {
+		if msg.From == from {
+			msg.Release()
+			continue
+		}
+		kept = append(kept, msg)
+	}
+	clear(r.pending[len(kept):]) // the backing array must not pin dropped payloads
+	r.pending = kept
+}
+
+// Readmit lifts every Exclude: traffic from all actors is buffered
+// again.
+func (r *Router) Readmit() {
+	r.excluded = [transport.NumActors + 1]bool{}
+}
+
+// Pending reports how many arrivals are buffered awaiting a matching
+// wait.
+func (r *Router) Pending() int { return len(r.pending) }
+
+// isExcluded reports whether actor from's unsolicited traffic is
+// dropped.
+func (r *Router) isExcluded(from int) bool {
+	return from >= 0 && from < len(r.excluded) && r.excluded[from]
+}
+
 // takePending removes and returns the oldest buffered message matching
 // key.
 func (r *Router) takePending(key msgKey) (transport.Message, bool) {
@@ -250,6 +293,10 @@ func (r *Router) Expect(from int, session, step string) (transport.Message, erro
 		r.note(msg)
 		if keyOf(msg) == key {
 			return msg, nil
+		}
+		if r.isExcluded(msg.From) {
+			msg.Release()
+			continue
 		}
 		r.pending = append(r.pending, msg)
 	}

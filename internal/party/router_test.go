@@ -245,3 +245,55 @@ func TestRouterRecordsSpoofs(t *testing.T) {
 		t.Fatalf("re-attributed message lost: %v %+v", err, msg)
 	}
 }
+
+func TestExcludeDropsTrafficUntilReadmit(t *testing.T) {
+	feed := &spoofFeed{self: transport.Party1, msgs: []transport.Message{
+		{From: transport.Party2, To: transport.Party1, Session: "s", Step: "early"},
+		{From: transport.Party3, To: transport.Party1, Session: "s", Step: "early"},
+		{From: transport.Party3, To: transport.Party1, Session: "s", Step: "late"},
+		{From: transport.Party3, To: transport.Party1, Session: "s", Step: "forged",
+			Spoofed: true, ClaimedFrom: transport.Party2},
+		{From: transport.Party3, To: transport.Party1, Session: "s", Step: "wanted"},
+		{From: transport.Party2, To: transport.Party1, Session: "s", Step: "go"},
+		{From: transport.Party3, To: transport.Party1, Session: "s", Step: "readmitted"},
+		{From: transport.Party2, To: transport.Party1, Session: "s", Step: "go2"},
+	}}
+	r := NewRouter(feed, 100*time.Millisecond)
+	// Two early arrivals buffer while P1 waits for something else.
+	if _, err := r.Expect(transport.Party3, "s", "late"); err != nil {
+		t.Fatal(err)
+	}
+	if r.Pending() != 2 {
+		t.Fatalf("Pending() = %d before Exclude, want 2", r.Pending())
+	}
+	// Excluding P3 drops its buffered message and keeps P2's.
+	r.Exclude(transport.Party3)
+	if r.Pending() != 1 {
+		t.Fatalf("Pending() = %d after Exclude, want 1 (P2's early message)", r.Pending())
+	}
+	// An explicitly awaited message from an excluded peer still arrives;
+	// its unsolicited traffic is dropped, after its spoof is recorded.
+	if _, err := r.Expect(transport.Party3, "s", "wanted"); err != nil {
+		t.Fatalf("explicit wait on an excluded peer: %v", err)
+	}
+	if _, err := r.Expect(transport.Party2, "s", "go"); err != nil {
+		t.Fatal(err)
+	}
+	if r.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want 1: excluded traffic was buffered", r.Pending())
+	}
+	if spoofs := r.Spoofs(); len(spoofs) != 1 || spoofs[0].Step != "forged" {
+		t.Fatalf("spoof evidence of a dropped frame lost: %v", spoofs)
+	}
+	// Readmit restores buffering for P3.
+	r.Readmit()
+	if _, err := r.Expect(transport.Party2, "s", "go2"); err != nil {
+		t.Fatal(err)
+	}
+	if r.Pending() != 2 {
+		t.Fatalf("Pending() = %d after Readmit, want 2", r.Pending())
+	}
+	if _, err := r.Expect(transport.Party3, "s", "readmitted"); err != nil {
+		t.Fatalf("readmitted peer's message lost: %v", err)
+	}
+}

@@ -176,6 +176,7 @@ func (ctx *Ctx) Peers() []int {
 // session-level suspicion ledger keeps the full history regardless.
 func (ctx *Ctx) ForgiveFlags() {
 	ctx.Flagged = [sharing.NumParties + 1]bool{}
+	ctx.Router.Readmit()
 }
 
 // FlagCount reports how many parties this party has convicted.
@@ -269,14 +270,10 @@ func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) 
 
 	// Open round (lines 9–14).
 	openStart := ctx.obsStart()
-	for _, p := range peers {
-		toSend := own
-		if ctx.Adversary != nil {
-			toSend = ctx.Adversary.CorruptPostCommit(p, session, openStep, cloneBundles(own))
-		}
-		if err := ctx.Router.Send(p, session, openStep, transport.EncodeBundles(toSend...)); err != nil {
-			return res, fmt.Errorf("protocol: open round: %w", err)
-		}
+	if err := ctx.sendOpening(peers, session, openStep, own, func(bs []sharing.Bundle) []byte {
+		return transport.EncodeBundles(bs...)
+	}); err != nil {
+		return res, fmt.Errorf("protocol: open round: %w", err)
 	}
 	res.bundles[ctx.Index] = own
 	// A peer that already failed the commit round does not get a second
@@ -328,33 +325,60 @@ func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) 
 		res.bundles[p] = bs
 	}
 	ctx.obsPhase(ctx.obsExchange, openStart)
+	ctx.persistFlags(&res)
+	return res, nil
+}
 
-	// Merge with prior convictions and persist new ones.
+// sendOpening sends one opening round's payload to every peer. An
+// honest party encodes its opening once and hands the same read-only
+// payload to both sends; only a post-commit adversary, which rewrites
+// the bundles per recipient, encodes once per peer.
+func (ctx *Ctx) sendOpening(peers []int, session, step string, own []sharing.Bundle, encode func([]sharing.Bundle) []byte) error {
+	var payload []byte
+	if ctx.Adversary == nil {
+		payload = encode(own)
+	}
+	for _, p := range peers {
+		if ctx.Adversary != nil {
+			payload = encode(ctx.Adversary.CorruptPostCommit(p, session, step, cloneBundles(own)))
+		}
+		if err := ctx.Router.Send(p, session, step, payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// persistFlags merges prior convictions into res and records new ones.
+// A newly convicted peer is also excluded at the router, so the
+// traffic it keeps sending is released on arrival instead of piling up
+// in the pending buffer that no gather will drain.
+func (ctx *Ctx) persistFlags(res *exchangeResult) {
 	for p := 1; p <= sharing.NumParties; p++ {
 		if ctx.Flagged[p] {
 			res.flagged[p] = true
 		} else if res.flagged[p] {
 			ctx.Flagged[p] = true
+			ctx.Router.Exclude(p)
 			ctx.obsFlags.Inc()
 		}
 	}
-	return res, nil
 }
 
-// recordDeviations scores each reconstruction set against the decided
-// value and records a decision-rule deviation for a suspect party. A
-// consistent liar (Case 3) is invisible to the commitment check, so
-// this is the only site that produces attributable evidence against
-// it. Parties flagged this round are skipped: their zero-filled sets
-// trivially deviate, but the underlying fault (a timeout) was already
-// recorded as circumstantial evidence at its detection site.
-func (ctx *Ctx) recordDeviations(session, step string, res exchangeResult, recs []*sharing.Reconstructions, decided []Mat) {
+// recordDeviations scores each decided reconstruction set and records
+// a decision-rule deviation for a suspect party. A consistent liar
+// (Case 3) is invisible to the commitment check, so this is the only
+// site that produces attributable evidence against it. Parties flagged
+// this round are skipped: their zero-filled sets trivially deviate, but
+// the underlying fault (a timeout) was already recorded as
+// circumstantial evidence at its detection site.
+func (ctx *Ctx) recordDeviations(session, step string, res exchangeResult, recs ...*sharing.Reconstructions) {
 	if ctx.Ledger == nil {
 		return
 	}
 	tol := ctx.suspicionTolerance()
-	for i, rec := range recs {
-		if s := rec.Suspect(decided[i], tol); s >= 1 && s <= sharing.NumParties && !res.flagged[s] {
+	for _, rec := range recs {
+		if s := rec.Suspect(tol); s >= 1 && s <= sharing.NumParties && !res.flagged[s] {
 			ctx.Ledger.Record(s, suspicion.KindDecisionDeviation, session, step)
 		}
 	}

@@ -109,14 +109,10 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 
 	// Round 2: partial opening.
 	openStart := ctx.obsStart()
-	for _, p := range peers {
-		toSend := own
-		if ctx.Adversary != nil {
-			toSend = ctx.Adversary.CorruptPostCommit(p, session, partialStep, cloneBundles(own))
-		}
-		if err := ctx.Router.Send(p, session, partialStep, transport.EncodeMatrices(partialMats(toSend)...)); err != nil {
-			return res, fmt.Errorf("protocol: optimistic open: %w", err)
-		}
+	if err := ctx.sendOpening(peers, session, partialStep, own, func(bs []sharing.Bundle) []byte {
+		return transport.EncodeMatrices(partialMats(bs)...)
+	}); err != nil {
+		return res, fmt.Errorf("protocol: optimistic open: %w", err)
 	}
 	// partials[p] holds (primary, second) pairs per bundle.
 	var partials [sharing.NumParties + 1][][2]Mat
@@ -237,14 +233,10 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 	}
 
 	// Fallback: open the redundant hat copies and run the full rule.
-	for _, p := range peers {
-		toSend := own
-		if ctx.Adversary != nil {
-			toSend = ctx.Adversary.CorruptPostCommit(p, session, hatStep, cloneBundles(own))
-		}
-		if err := ctx.Router.Send(p, session, hatStep, transport.EncodeMatrices(hatMats(toSend)...)); err != nil {
-			return res, err
-		}
+	if err := ctx.sendOpening(peers, session, hatStep, own, func(bs []sharing.Bundle) []byte {
+		return transport.EncodeMatrices(hatMats(bs)...)
+	}); err != nil {
+		return res, err
 	}
 	var hats [sharing.NumParties + 1][]Mat
 	hats[ctx.Index] = hatMats(own)
@@ -295,18 +287,6 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 	}
 	ctx.persistFlags(&res)
 	return res, nil
-}
-
-// persistFlags merges prior convictions into res and records new ones.
-func (ctx *Ctx) persistFlags(res *exchangeResult) {
-	for p := 1; p <= sharing.NumParties; p++ {
-		if ctx.Flagged[p] {
-			res.flagged[p] = true
-		} else if res.flagged[p] {
-			ctx.Flagged[p] = true
-			ctx.obsFlags.Inc()
-		}
-	}
 }
 
 func partialMats(bs []sharing.Bundle) []Mat {

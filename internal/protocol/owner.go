@@ -496,7 +496,7 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 	for _, p := range missing {
 		s.Ledger.Record(p, suspicion.KindGatherTimeout, session, g.step)
 	}
-	if suspect := rec.Suspect(value, s.SuspicionTolerance); suspect != 0 {
+	if suspect := rec.Suspect(s.SuspicionTolerance); suspect != 0 {
 		s.mu.Lock()
 		s.stats.Suspicions[suspect]++
 		s.mu.Unlock()

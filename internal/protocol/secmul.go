@@ -90,7 +90,7 @@ func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 		}
 		ctx.obsPhase(ctx.obsDecide, decideStart)
 		eVal, fVal = vals[0], vals[1]
-		ctx.recordDeviations(session, "ef", res, []*sharing.Reconstructions{recE, recF}, vals)
+		ctx.recordDeviations(session, "ef", res, recE, recF)
 	}
 
 	// Lines 21–24: local share computation z = c + e·b + a·f, with the

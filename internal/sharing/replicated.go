@@ -192,35 +192,56 @@ func CollectSets(bundles [NumParties]Bundle) ([NumParties]SetShares, error) {
 	return out, nil
 }
 
-// Reconstructions holds the six candidate reconstructions of §III-B:
+// Reconstructions holds the six candidate reconstructions of §III-B,
 // s^j = [s]^j_1 + [s]^j_2 and ŝ^j = [ŝ]^j_1 + [s]^j_2, together with the
 // commitment-phase flags of Algorithm 4 (true = all contributing shares
 // passed the commit check).
+//
+// The candidates are never materialized as whole matrices: DecideRows
+// forms them one row at a time from the three per-set share triples,
+// decides the row and scores every candidate's deviation from the
+// revealed row in the same pass. Plain and Hat build a full candidate
+// on demand.
 type Reconstructions struct {
-	Plain   [NumParties]Mat
-	Hat     [NumParties]Mat
+	sets    [NumParties]SetShares
 	PlainOK [NumParties]bool
 	HatOK   [NumParties]bool
+	// dev[0][j] and dev[1][j] are the largest distances of s^{j+1} and
+	// ŝ^{j+1} from the value the last DecideRows or Decide revealed
+	// (unflagged candidates only); Suspect scores parties from them.
+	dev [2][NumParties]float64
 }
 
-// ReconstructSix computes all six reconstructions from the per-set
-// shares. All flags start true; callers clear them per the commitment
-// checks before calling Decide.
+// ReconstructSix prepares the six reconstructions from the per-set
+// shares, checking that all nine share matrices have one shape. All
+// flags start true; callers clear them per the commitment checks
+// before calling DecideRows.
 func ReconstructSix(sets [NumParties]SetShares) (Reconstructions, error) {
-	var rec Reconstructions
-	for j := 0; j < NumParties; j++ {
-		plain, err := sets[j].First.Add(sets[j].Second)
-		if err != nil {
-			return rec, fmt.Errorf("sharing: set %d: %w", j+1, err)
+	rec := Reconstructions{sets: sets}
+	want := sets[0].First
+	for j, s := range sets {
+		for _, m := range [...]Mat{s.First, s.HatFirst, s.Second} {
+			if !m.SameShape(want) {
+				return rec, fmt.Errorf("sharing: set %d: share shape %dx%d, want %dx%d", j+1, m.Rows, m.Cols, want.Rows, want.Cols)
+			}
 		}
-		hat, err := sets[j].HatFirst.Add(sets[j].Second)
-		if err != nil {
-			return rec, fmt.Errorf("sharing: set %d (hat): %w", j+1, err)
-		}
-		rec.Plain[j], rec.Hat[j] = plain, hat
 		rec.PlainOK[j], rec.HatOK[j] = true, true
 	}
 	return rec, nil
+}
+
+// Plain materializes s^{j+1}, the plain reconstruction of set j+1
+// (j indexes like PlainOK).
+func (r *Reconstructions) Plain(j int) Mat {
+	m, _ := r.sets[j].First.Add(r.sets[j].Second) // shapes checked by ReconstructSix
+	return m
+}
+
+// Hat materializes ŝ^{j+1}, the hat reconstruction of set j+1 (j
+// indexes like HatOK).
+func (r *Reconstructions) Hat(j int) Mat {
+	m, _ := r.sets[j].HatFirst.Add(r.sets[j].Second) // shapes checked by ReconstructSix
+	return m
 }
 
 // FlagParty clears the flags of every reconstruction that party p's
@@ -249,39 +270,6 @@ type Decision struct {
 // which is outside the fault model.
 var ErrNoConsensus = fmt.Errorf("sharing: no unflagged reconstruction pair (more than one Byzantine party?)")
 
-// Decide applies the decision rule of §III-B: among all unflagged pairs
-// (s^j, ŝ^k) with j ≠ k, pick the pair with minimum distance and return
-// s^j as the correct reconstruction. Two honest sets always agree up to
-// truncation slack, while a Byzantine party can force agreement between
-// the reconstructions it corrupts only with negligible probability
-// (it must commit to its shares before seeing the honest ones).
-func (r *Reconstructions) Decide() (Mat, Decision, error) {
-	best := Decision{Distance: math.Inf(1)}
-	found := false
-	for j := 0; j < NumParties; j++ {
-		if !r.PlainOK[j] {
-			continue
-		}
-		for k := 0; k < NumParties; k++ {
-			if k == j || !r.HatOK[k] {
-				continue
-			}
-			d, err := r.Plain[j].MaxAbsDiff(r.Hat[k])
-			if err != nil {
-				return Mat{}, Decision{}, err
-			}
-			if d < best.Distance {
-				best = Decision{PlainSet: j + 1, HatSet: k + 1, Distance: d}
-				found = true
-			}
-		}
-	}
-	if !found {
-		return Mat{}, Decision{}, ErrNoConsensus
-	}
-	return r.Plain[best.PlainSet-1], best, nil
-}
-
 // HonestSlack bounds the disagreement (raw ring units) between honest
 // reconstructions of the same opened value: exact openings agree
 // perfectly, and the share-local probabilistic truncation perturbs each
@@ -292,15 +280,21 @@ func (r *Reconstructions) Decide() (Mat, Decision, error) {
 // protocol layer's deviation-suspicion tolerance matches this bound.
 const HonestSlack = 16
 
-// DecideRows applies the decision rule of §III-B independently to each
-// row of the reconstructed matrix, with a canonical preference among
-// plausibly-honest candidates: each row first finds its minimum pair
-// distance, then picks the lexicographically first unflagged pair
-// (j, k) whose distance is within HonestSlack of that minimum, and
-// reveals Plain[j]'s row.
+// DecideRows applies the decision rule of §III-B: among all unflagged
+// pairs (s^j, ŝ^k) with j ≠ k, pick a pair at minimum distance
+// (dist = largest element-wise ring difference) and reveal s^j. Two
+// honest sets always agree up to truncation slack, while a Byzantine
+// party can force agreement between the reconstructions it corrupts
+// only with negligible probability (it must commit to its shares before
+// seeing the honest ones).
 //
-// Both refinements exist to make the decision a pure function of the
-// honest data, independent of shape and flag context:
+// The rule is applied independently to each row of the reconstructed
+// matrix, with a canonical preference among plausibly-honest
+// candidates: each row first finds its minimum pair distance, then
+// picks the lexicographically first unflagged pair (j, k) whose
+// distance is within HonestSlack of that minimum, and reveals s^j's
+// row. Both refinements exist to make the decision a pure function of
+// the honest data, independent of shape and flag context:
 //
 //   - Per-row: after truncation the six candidates disagree by
 //     share-local carry bits, so a matrix-global minimum-distance pair
@@ -322,113 +316,220 @@ const HonestSlack = 16
 //     while corrupted sets (distance >> HonestSlack above the minimum)
 //     are still excluded.
 //
-// The returned Decision describes the worst (maximum-distance) row,
-// preserving Decide's semantics for deviation detection.
+// The returned Decision describes the worst (maximum-distance) row, so
+// a large Distance still signals a deviation somewhere in the matrix.
+// The same pass scores each unflagged candidate's distance from the
+// revealed rows for Suspect.
 func (r *Reconstructions) DecideRows() (Mat, Decision, error) {
-	rows, cols := 0, 0
-	for j := 0; j < NumParties; j++ {
-		if r.PlainOK[j] {
-			rows, cols = r.Plain[j].Rows, r.Plain[j].Cols
-			break
-		}
+	c, err := r.candidates()
+	if err != nil {
+		return Mat{}, Decision{}, err
 	}
-	if rows == 0 && cols == 0 {
-		return Mat{}, Decision{}, ErrNoConsensus
-	}
+	rows, cols := r.sets[0].First.Rows, r.sets[0].First.Cols
+	r.dev = [2][NumParties]float64{}
 	out := Mat{Rows: rows, Cols: cols, Data: make([]int64, rows*cols)}
 	worst := Decision{Distance: math.Inf(-1)}
-	for row := 0; row < rows; row++ {
+	for lo := 0; lo < rows*cols; lo += cols {
+		hi := lo + cols
+		c.load(lo, hi)
 		var dist [NumParties][NumParties]float64
 		minDist := math.Inf(1)
-		found := false
 		for j := 0; j < NumParties; j++ {
-			if !r.PlainOK[j] {
-				continue
-			}
 			for k := 0; k < NumParties; k++ {
-				if k == j || !r.HatOK[k] {
-					continue
-				}
-				if r.Plain[j].Rows != rows || r.Plain[j].Cols != cols ||
-					r.Hat[k].Rows != rows || r.Hat[k].Cols != cols {
-					return Mat{}, Decision{}, fmt.Errorf("sharing: reconstruction shape mismatch (plain %d: %dx%d, hat %d: %dx%d)",
-						j+1, r.Plain[j].Rows, r.Plain[j].Cols, k+1, r.Hat[k].Rows, r.Hat[k].Cols)
-				}
-				d := 0.0
-				for c := row * cols; c < (row+1)*cols; c++ {
-					// Ring difference first, as in Mat.MaxAbsDiff: exact
-					// near the int64 extremes where float64 conversion
-					// of each operand would round the delta away.
-					diff := math.Abs(float64(r.Plain[j].Data[c] - r.Hat[k].Data[c]))
-					if diff > d {
-						d = diff
-					}
-				}
-				dist[j][k] = d
-				if d < minDist {
-					minDist = d
-					found = true
+				if c.pair(j, k) {
+					dist[j][k] = maxAbsDiff(c.plain[j], c.hat[k])
+					minDist = math.Min(minDist, dist[j][k])
 				}
 			}
-		}
-		if !found {
-			return Mat{}, Decision{}, ErrNoConsensus
 		}
 		// Canonical choice: the first pair within slack of the minimum.
 		best := Decision{}
 	pick:
 		for j := 0; j < NumParties; j++ {
-			if !r.PlainOK[j] {
-				continue
-			}
 			for k := 0; k < NumParties; k++ {
-				if k == j || !r.HatOK[k] {
-					continue
-				}
-				if dist[j][k] <= minDist+HonestSlack {
+				if c.pair(j, k) && dist[j][k] <= minDist+HonestSlack {
 					best = Decision{PlainSet: j + 1, HatSet: k + 1, Distance: dist[j][k]}
 					break pick
 				}
 			}
 		}
-		copy(out.Data[row*cols:(row+1)*cols], r.Plain[best.PlainSet-1].Data[row*cols:(row+1)*cols])
 		if best.Distance > worst.Distance {
 			worst = best
 		}
+		copy(out.Data[lo:hi], c.plain[best.PlainSet-1])
+		c.score(&r.dev, best.PlainSet-1, &dist)
 	}
 	return out, worst, nil
 }
 
-// Suspect inspects the six reconstructions and reports which party is
-// most plausibly Byzantine, given the decided value and tolerance tol
-// (in raw ring units). It returns 0 when every reconstruction is within
-// tolerance (no suspicion). This powers the detection logic the paper
-// describes for Case 3 of the security analysis.
-func (r *Reconstructions) Suspect(decided Mat, tol float64) int {
-	// A Byzantine party p corrupts: plain p1, hat p2, plain+hat p3.
-	// Score each party by how many of "its" reconstructions deviate.
-	deviates := func(m Mat, ok bool) bool {
-		if !ok {
-			return true // flagged in the commitment phase
+// Decide applies the decision rule of §III-B to the matrix as a whole:
+// among all unflagged pairs (s^j, ŝ^k) with j ≠ k, the first pair at
+// strictly minimum whole-matrix distance, revealing s^j. It keeps the
+// rule's plain form; the protocols reveal through DecideRows, whose
+// per-row canonical choice batched openings need.
+func (r *Reconstructions) Decide() (Mat, Decision, error) {
+	c, err := r.candidates()
+	if err != nil {
+		return Mat{}, Decision{}, err
+	}
+	n, cols := r.sets[0].First.Size(), r.sets[0].First.Cols
+	var dist [NumParties][NumParties]float64
+	for lo := 0; lo < n; lo += cols {
+		c.load(lo, lo+cols)
+		for j := 0; j < NumParties; j++ {
+			for k := 0; k < NumParties; k++ {
+				if c.pair(j, k) {
+					dist[j][k] = math.Max(dist[j][k], maxAbsDiff(c.plain[j], c.hat[k]))
+				}
+			}
 		}
-		d, err := decided.MaxAbsDiff(m)
-		return err != nil || d > tol
+	}
+	best := Decision{Distance: math.Inf(1)}
+	for j := 0; j < NumParties; j++ {
+		for k := 0; k < NumParties; k++ {
+			if c.pair(j, k) && dist[j][k] < best.Distance {
+				best = Decision{PlainSet: j + 1, HatSet: k + 1, Distance: dist[j][k]}
+			}
+		}
+	}
+	// Second pass: score the candidates against the revealed s^j.
+	r.dev = [2][NumParties]float64{}
+	for lo := 0; lo < n; lo += cols {
+		c.load(lo, lo+cols)
+		c.score(&r.dev, best.PlainSet-1, nil)
+	}
+	return r.Plain(best.PlainSet - 1), best, nil
+}
+
+// candidateRows forms the unflagged reconstructions one row at a time:
+// after load, plain[j] and hat[j] hold that row of s^{j+1} and ŝ^{j+1},
+// and stay nil for flagged candidates, which are never formed.
+type candidateRows struct {
+	sets  *[NumParties]SetShares
+	plain [NumParties][]int64
+	hat   [NumParties][]int64
+}
+
+// candidates returns the row buffers for the unflagged candidates, or
+// ErrNoConsensus when no unflagged pair (j, k), j ≠ k, exists.
+func (r *Reconstructions) candidates() (candidateRows, error) {
+	c := candidateRows{sets: &r.sets}
+	havePair := false
+	for j := 0; j < NumParties; j++ {
+		for k := 0; k < NumParties; k++ {
+			havePair = havePair || (k != j && r.PlainOK[j] && r.HatOK[k])
+		}
+	}
+	cols := r.sets[0].First.Cols
+	if !havePair || r.sets[0].First.Size() == 0 {
+		return c, ErrNoConsensus
+	}
+	buf := make([]int64, 2*NumParties*cols)
+	for j := 0; j < NumParties; j++ {
+		if r.PlainOK[j] {
+			c.plain[j] = buf[2*j*cols : (2*j+1)*cols]
+		}
+		if r.HatOK[j] {
+			c.hat[j] = buf[(2*j+1)*cols : (2*j+2)*cols]
+		}
+	}
+	return c, nil
+}
+
+// load forms row [lo, hi) of every unflagged candidate.
+func (c *candidateRows) load(lo, hi int) {
+	for j := range c.sets {
+		s := &c.sets[j]
+		if c.plain[j] != nil {
+			addRow(c.plain[j], s.First.Data[lo:hi], s.Second.Data[lo:hi])
+		}
+		if c.hat[j] != nil {
+			addRow(c.hat[j], s.HatFirst.Data[lo:hi], s.Second.Data[lo:hi])
+		}
+	}
+}
+
+// pair reports whether (s^{j+1}, ŝ^{k+1}) is an unflagged pair with
+// j ≠ k, i.e. one the decision rule may pick.
+func (c *candidateRows) pair(j, k int) bool {
+	return j != k && c.plain[j] != nil && c.hat[k] != nil
+}
+
+// score folds each unflagged candidate's distance from the revealed row
+// — the loaded row of s^{bj+1} — into dev. dist, when non-nil, holds
+// this row's pair distances, so only hats of set bj+1 and the other
+// plain candidates need a scan of their own.
+func (c *candidateRows) score(dev *[2][NumParties]float64, bj int, dist *[NumParties][NumParties]float64) {
+	revealed := c.plain[bj]
+	for j := 0; j < NumParties; j++ {
+		if c.plain[j] != nil && j != bj {
+			dev[0][j] = math.Max(dev[0][j], maxAbsDiff(revealed, c.plain[j]))
+		}
+		if c.hat[j] == nil {
+			continue
+		}
+		var d float64
+		if dist != nil && j != bj {
+			d = dist[bj][j]
+		} else {
+			d = maxAbsDiff(revealed, c.hat[j])
+		}
+		dev[1][j] = math.Max(dev[1][j], d)
+	}
+}
+
+// addRow stores a+b element-wise into dst (ring addition).
+func addRow(dst, a, b []int64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// maxAbsDiff returns the largest |a[i] − b[i]| over equal-length rows,
+// with the difference taken in the ring first, as in Mat.MaxAbsDiff:
+// exact near the int64 extremes, where float64 conversion of each
+// operand would round the delta away. The maximum is tracked as an
+// unsigned magnitude and converted once, which equals converting every
+// element because the conversion is monotone.
+func maxAbsDiff(a, b []int64) float64 {
+	b = b[:len(a)]
+	var worst uint64
+	for i, v := range a {
+		d := v - b[i]
+		m := d >> 63
+		if u := uint64((d ^ m) - m); u > worst {
+			worst = u
+		}
+	}
+	return float64(worst)
+}
+
+// Suspect reports which party is most plausibly Byzantine, judged by
+// how far the six reconstructions lie from the value the preceding
+// DecideRows (or Decide) revealed, with tolerance tol (in raw ring
+// units). It returns 0 when every reconstruction is within tolerance
+// (no suspicion). This powers the detection logic the paper describes
+// for Case 3 of the security analysis.
+func (r *Reconstructions) Suspect(tol float64) int {
+	// A Byzantine party p corrupts: plain p1, hat p2, plain+hat p3.
+	// Score each party by how many of "its" reconstructions deviate; a
+	// candidate flagged in the commitment phase counts as deviating.
+	deviates := func(kind, j int) bool {
+		ok := r.PlainOK[j]
+		if kind == 1 {
+			ok = r.HatOK[j]
+		}
+		return !ok || r.dev[kind][j] > tol
 	}
 	bestParty, bestScore := 0, 0
 	for p := 1; p <= NumParties; p++ {
 		p1, p2, p3 := SetsOf(p)
 		score := 0
-		if deviates(r.Plain[p1-1], r.PlainOK[p1-1]) {
-			score++
-		}
-		if deviates(r.Hat[p2-1], r.HatOK[p2-1]) {
-			score++
-		}
-		if deviates(r.Plain[p3-1], r.PlainOK[p3-1]) {
-			score++
-		}
-		if deviates(r.Hat[p3-1], r.HatOK[p3-1]) {
-			score++
+		for _, c := range [...][2]int{{0, p1 - 1}, {1, p2 - 1}, {0, p3 - 1}, {1, p3 - 1}} {
+			if deviates(c[0], c[1]) {
+				score++
+			}
 		}
 		if score > bestScore {
 			bestParty, bestScore = p, score

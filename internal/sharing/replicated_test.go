@@ -76,10 +76,10 @@ func TestShareAndCollectReconstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < NumParties; j++ {
-		if !rec.Plain[j].Equal(secret) {
+		if !rec.Plain(j).Equal(secret) {
 			t.Errorf("set %d plain reconstruction differs from secret", j+1)
 		}
-		if !rec.Hat[j].Equal(secret) {
+		if !rec.Hat(j).Equal(secret) {
 			t.Errorf("set %d hat reconstruction differs from secret", j+1)
 		}
 	}
@@ -176,7 +176,7 @@ func TestDecideSurvivesOneByzantineParty(t *testing.T) {
 		if dec.Distance != 0 {
 			t.Fatalf("byz=%d: honest pair distance %v, want 0", byz, dec.Distance)
 		}
-		if suspect := rec.Suspect(got, 0); suspect != byz {
+		if suspect := rec.Suspect(0); suspect != byz {
 			t.Fatalf("byz=%d: Suspect() = %d", byz, suspect)
 		}
 	}
